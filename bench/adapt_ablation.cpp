@@ -26,7 +26,7 @@ btmf::sim::SimConfig base_config(const btmf::util::ArgParser& parser) {
   config.visit_rate = 1.0;
   config.horizon = parser.get_double("horizon");
   config.warmup = config.horizon * 0.3;
-  config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  config.seed = parser.get_uint64("seed");
   return config;
 }
 

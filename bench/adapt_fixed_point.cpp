@@ -48,7 +48,7 @@ int main(int argc, char** argv) {
     config.adapt.enabled = true;
     config.horizon = parser.get_double("horizon");
     config.warmup = config.horizon * 0.3;
-    config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+    config.seed = parser.get_uint64("seed");
     const sim::ReplicationSummary summary = sim::run_replications(
         config, static_cast<std::size_t>(parser.get_int("reps")));
 

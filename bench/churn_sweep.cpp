@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
       config.rho = scheme == fluid::SchemeKind::kCmfsd ? 0.2 : 0.0;
       config.horizon = parser.get_double("horizon");
       config.warmup = config.horizon * 0.25;
-      config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+      config.seed = parser.get_uint64("seed");
       config.paranoid = parser.get_flag("paranoid");
 
       sim::ChurnBurstFault burst;
@@ -111,7 +111,7 @@ int main(int argc, char** argv) {
         << ", \"horizon\": " << parser.get("horizon")
         << ", \"burst_time\": \"horizon/2\", \"progress_loss\": 1.0"
         << ", \"backoff_rate\": " << parser.get("backoff")
-        << ", \"seed\": " << parser.get_int("seed") << "},\n"
+        << ", \"seed\": " << parser.get_uint64("seed") << "},\n"
         << "  \"rows\": [\n";
     for (std::size_t i = 0; i < json_rows.size(); ++i) {
       out << json_rows[i] << (i + 1 < json_rows.size() ? ",\n" : "\n");

@@ -49,7 +49,7 @@ int main(int argc, char** argv) {
   if (!parser.parse(argc, argv)) return 0;
 
   const double horizon = parser.get_double("horizon");
-  const auto seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  const auto seed = parser.get_uint64("seed");
 
   const double c_star =
       fluid::critical_download_bandwidth(fluid::kPaperParams);

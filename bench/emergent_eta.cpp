@@ -34,7 +34,7 @@ int main(int argc, char** argv) {
   base.entry_rate = parser.get_double("lambda");
   base.horizon = parser.get_double("horizon");
   base.warmup = base.horizon * 0.25;
-  base.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  base.seed = parser.get_uint64("seed");
 
   util::Table chunk_table({"chunks", "eta_hat", "measured T",
                            "fluid T(eta_hat)", "T at paper eta=0.5",

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 
 int main(int argc, char** argv) {
   using namespace btmf;
@@ -25,13 +25,14 @@ int main(int argc, char** argv) {
 
   const auto evaluate = [&](const fluid::FluidParams& params,
                             fluid::SchemeKind scheme, double rho) {
-    core::ScenarioConfig scenario;
-    scenario.num_files = k;
-    scenario.correlation = p;
-    scenario.fluid = params;
-    core::EvaluateOptions options;
-    options.rho = rho;
-    return core::evaluate_scheme(scenario, scheme, options)
+    model::ScenarioSpec spec;
+    spec.num_files = k;
+    spec.correlation = p;
+    spec.fluid = params;
+    spec.scheme = scheme;
+    spec.rho = rho;
+    return model::require_backend("fluid-equilibrium")
+        .evaluate_or_throw(spec)
         .avg_online_per_file;
   };
 

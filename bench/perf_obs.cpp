@@ -32,7 +32,7 @@ sim::SimConfig base_config(const util::ArgParser& parser) {
   config.visit_rate = parser.get_double("lambda0") * 5.0;
   config.horizon = parser.get_double("horizon");
   config.warmup = parser.get_double("warmup");
-  config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+  config.seed = parser.get_uint64("seed");
   config.max_active_peers = 4'000'000;
   return config;
 }

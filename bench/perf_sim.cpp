@@ -68,7 +68,7 @@ int main(int argc, char** argv) {
     config.rho = row.rho;
     config.horizon = parser.get_double("horizon");
     config.warmup = parser.get_double("warmup");
-    config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+    config.seed = parser.get_uint64("seed");
     config.max_active_peers = 4'000'000;
 
     if (rss_per_scheme) bench::reset_peak_rss();

@@ -55,7 +55,7 @@ int main(int argc, char** argv) {
       config.seed_pool = mode;
       config.horizon = parser.get_double("horizon");
       config.warmup = config.horizon * 0.25;
-      config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+      config.seed = parser.get_uint64("seed");
       const sim::ReplicationSummary summary =
           sim::run_replications(config, reps);
       double censored = 0.0;

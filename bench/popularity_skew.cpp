@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
     config.visit_rate = 1.0;
     config.horizon = parser.get_double("horizon");
     config.warmup = config.horizon * 0.25;
-    config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+    config.seed = parser.get_uint64("seed");
     const sim::SimResult sim_result = sim::run_simulation(config);
 
     table.add_row({skew, probs.front(), probs.back(),

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/sim/simulator.h"
 
 namespace {
@@ -51,24 +51,24 @@ int main(int argc, char** argv) {
   table.set_precision(4);
 
   for (const Row& row : rows) {
-    core::ScenarioConfig scenario;
-    scenario.num_files = static_cast<unsigned>(parser.get_int("k"));
-    scenario.correlation = row.p;
-    scenario.visit_rate = parser.get_double("lambda0");
-    core::EvaluateOptions options;
-    options.rho = row.rho;
-    const core::SchemeReport fluid_report =
-        core::evaluate_scheme(scenario, row.scheme, options);
+    model::ScenarioSpec spec;
+    spec.num_files = static_cast<unsigned>(parser.get_int("k"));
+    spec.correlation = row.p;
+    spec.visit_rate = parser.get_double("lambda0");
+    spec.scheme = row.scheme;
+    spec.rho = row.rho;
+    const model::Outcome fluid_outcome =
+        model::require_backend("fluid-equilibrium").evaluate_or_throw(spec);
 
     sim::SimConfig config;
     config.scheme = row.scheme;
-    config.num_files = scenario.num_files;
+    config.num_files = spec.num_files;
     config.correlation = row.p;
-    config.visit_rate = scenario.visit_rate;
+    config.visit_rate = spec.visit_rate;
     config.rho = row.rho;
     config.horizon = parser.get_double("horizon");
     config.warmup = config.horizon * 0.25;
-    config.seed = static_cast<std::uint64_t>(parser.get_int("seed"));
+    config.seed = parser.get_uint64("seed");
     const sim::ReplicationSummary summary = sim::run_replications(
         config, static_cast<std::size_t>(parser.get_int("reps")));
 
@@ -78,11 +78,11 @@ int main(int argc, char** argv) {
       censored += static_cast<double>(run.censored_users);
       users += static_cast<double>(run.total_users + run.censored_users);
     }
-    table.add_row({row.label, fluid_report.avg_online_per_file,
+    table.add_row({row.label, fluid_outcome.avg_online_per_file,
                    summary.mean_online_per_file,
                    summary.stderr_online_per_file,
                    summary.mean_online_per_file /
-                       fluid_report.avg_online_per_file,
+                       fluid_outcome.avg_online_per_file,
                    users > 0.0 ? censored / users : 0.0});
   }
 

@@ -14,12 +14,12 @@
 #include <chrono>
 #include <csignal>
 #include <iostream>
+#include <limits>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "btmf/core/version.h"
 #include "btmf/fluid/adapt_fluid.h"
 #include "btmf/model/backend.h"
 #include "btmf/obs/sink.h"
@@ -39,6 +39,7 @@
 #include "btmf/util/error.h"
 #include "btmf/util/strings.h"
 #include "btmf/util/table.h"
+#include "btmf/util/version.h"
 
 namespace {
 
@@ -49,13 +50,16 @@ void require(bool ok, const std::string& msg) {
 }
 
 /// Reads an integral option that denotes a count. The range check runs on
-/// the raw int: casting a negative value first would wrap it to a huge
-/// unsigned that sails past every downstream `>= 1` validation.
+/// the raw int: casting first would wrap a negative value to a huge
+/// unsigned that sails past every downstream `>= 1` validation, and a
+/// value above UINT_MAX to a small one (--k 4294967297 would run K = 1).
 unsigned positive_count(const util::ArgParser& parser,
                         const std::string& name) {
   const long long raw = parser.get_int(name);
-  require(raw >= 1, "--" + name + " must be >= 1 (got " +
-                        std::to_string(raw) + ")");
+  constexpr unsigned kMax = std::numeric_limits<unsigned>::max();
+  require(raw >= 1 && raw <= kMax, "--" + name + " must lie in [1, " +
+                                       std::to_string(kMax) + "] (got " +
+                                       std::to_string(raw) + ")");
   return static_cast<unsigned>(raw);
 }
 
@@ -216,9 +220,7 @@ int cmd_evaluate(int argc, const char* const* argv) {
   model::ScenarioSpec spec = spec_from_cli(parser);
   spec.horizon = parser.get_double("horizon");
   spec.warmup = spec.horizon * 0.25;
-  const long long seed = parser.get_int("seed");
-  require(seed >= 0, "--seed must be non-negative");
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = parser.get_uint64("seed");
 
   const model::Backend& backend =
       model::require_backend(parser.get("backend"));
@@ -262,9 +264,7 @@ int cmd_simulate(int argc, const char* const* argv) {
   spec.adapt.enabled = parser.get_flag("adapt");
   spec.horizon = parser.get_double("horizon");
   spec.warmup = spec.horizon * 0.25;
-  const long long seed = parser.get_int("seed");
-  require(seed >= 0, "--seed must be non-negative");
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = parser.get_uint64("seed");
   spec.num_chunks = positive_count(parser, "chunks");
   spec.chunk_policy = sim::piece_policy_from_string(parser.get("piece-policy"));
   spec.chunk_suppression = parser.get_double("suppression");
@@ -405,9 +405,7 @@ int cmd_sweep(int argc, const char* const* argv) {
   if (parser.get_flag("list-backends")) return list_backends();
 
   model::ScenarioSpec base = spec_from_cli(parser);
-  const long long seed = parser.get_int("seed");
-  require(seed >= 0, "--seed must be non-negative");
-  base.seed = static_cast<std::uint64_t>(seed);
+  base.seed = parser.get_uint64("seed");
   // The grid supplies p; pin the base's correlation so --p cannot split
   // the cache namespace for otherwise-identical sweeps.
   base.correlation = 1.0;
@@ -774,9 +772,7 @@ int cmd_query(int argc, const char* const* argv) {
   model::ScenarioSpec spec = spec_from_cli(parser);
   spec.horizon = parser.get_double("horizon");
   spec.warmup = spec.horizon * 0.25;
-  const long long seed = parser.get_int("seed");
-  require(seed >= 0, "--seed must be non-negative");
-  spec.seed = static_cast<std::uint64_t>(seed);
+  spec.seed = parser.get_uint64("seed");
   spec.validate();
   const std::string backend = parser.get("backend");
 

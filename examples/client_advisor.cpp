@@ -10,7 +10,7 @@
 //   ./client_advisor --queued 4 --k 10 --p 0.5
 #include <iostream>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/cli.h"
 #include "btmf/util/error.h"
@@ -35,13 +35,16 @@ int main(int argc, char** argv) try {
     throw ConfigError("--queued must lie in [1, K]");
   }
   const unsigned queued = static_cast<unsigned>(raw_queued);
-  core::ScenarioConfig scenario;
-  scenario.num_files = static_cast<unsigned>(raw_k);
-  scenario.correlation = parser.get_double("p");
-  scenario.validate();
+  model::ScenarioSpec spec;
+  spec.num_files = static_cast<unsigned>(raw_k);
+  spec.correlation = parser.get_double("p");
+  spec.validate();
 
-  const auto mtcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtcd);
-  const auto mtsd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd);
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  spec.scheme = fluid::SchemeKind::kMtcd;
+  const model::Outcome mtcd = backend.evaluate_or_throw(spec);
+  spec.scheme = fluid::SchemeKind::kMtsd;
+  const model::Outcome mtsd = backend.evaluate_or_throw(spec);
   const unsigned idx = queued - 1;
 
   util::Table table({"strategy", "your online time (all files + seeding)",
@@ -56,8 +59,8 @@ int main(int argc, char** argv) try {
                  mtsd.per_class.download_time[idx],
                  mtsd.per_class.online_per_file[idx]});
 
-  std::cout << "You queued " << queued << " of " << scenario.num_files
-            << " files (correlation p = " << scenario.correlation << ")\n\n";
+  std::cout << "You queued " << queued << " of " << spec.num_files
+            << " files (correlation p = " << spec.correlation << ")\n\n";
   table.write_pretty(std::cout);
 
   const bool concurrent_wins =
@@ -77,8 +80,8 @@ int main(int argc, char** argv) try {
     std::cout << "\nConfirming with a discrete-event swarm simulation "
                  "(this takes a few seconds)...\n";
     sim::SimConfig config;
-    config.num_files = scenario.num_files;
-    config.correlation = scenario.correlation;
+    config.num_files = spec.num_files;
+    config.correlation = spec.correlation;
     config.visit_rate = 1.0;
     config.horizon = 4000.0;
     config.warmup = 1000.0;

@@ -15,7 +15,7 @@
 #include <string>
 #include <vector>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/util/cli.h"
 #include "btmf/util/error.h"
 #include "btmf/util/strings.h"
@@ -40,18 +40,21 @@ int main(int argc, char** argv) try {
   const double rho = parser.get_double("rho");
   if (rho < 0.0 || rho > 1.0) throw ConfigError("--rho must lie in [0, 1]");
 
-  core::ScenarioConfig scenario;
-  scenario.num_files = episodes;
-  scenario.correlation = p;
-  scenario.validate();
+  model::ScenarioSpec spec;
+  spec.num_files = episodes;
+  spec.correlation = p;
+  spec.validate();
 
-  core::EvaluateOptions options;
-  options.rho = rho;
-  const auto mtcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtcd);
-  const auto mtsd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd);
-  const auto mfcd = core::evaluate_scheme(scenario, fluid::SchemeKind::kMfcd);
-  const auto cmfsd =
-      core::evaluate_scheme(scenario, fluid::SchemeKind::kCmfsd, options);
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  const auto evaluate = [&](fluid::SchemeKind scheme) {
+    spec.scheme = scheme;
+    return backend.evaluate_or_throw(spec);
+  };
+  const model::Outcome mtcd = evaluate(fluid::SchemeKind::kMtcd);
+  const model::Outcome mtsd = evaluate(fluid::SchemeKind::kMtsd);
+  const model::Outcome mfcd = evaluate(fluid::SchemeKind::kMfcd);
+  spec.rho = rho;
+  const model::Outcome cmfsd = evaluate(fluid::SchemeKind::kCmfsd);
 
   // A "binge watcher" requests every episode: class E.
   util::Table table({"publishing strategy", "avg online/file (all users)",

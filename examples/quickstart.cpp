@@ -15,7 +15,7 @@
 #include <iostream>
 #include <optional>
 
-#include "btmf/core/evaluate.h"
+#include "btmf/model/backend.h"
 #include "btmf/obs/sink.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/cli.h"
@@ -39,34 +39,36 @@ int main(int argc, char** argv) try {
 
   const long long k = parser.get_int("k");
   if (k < 1) throw ConfigError("--k must be >= 1");
-  core::ScenarioConfig scenario;  // paper defaults: mu/eta/gamma
-  scenario.num_files = static_cast<unsigned>(k);
-  scenario.correlation = parser.get_double("p");
-  scenario.validate();
+  model::ScenarioSpec spec;  // paper defaults: mu/eta/gamma
+  spec.num_files = static_cast<unsigned>(k);
+  spec.correlation = parser.get_double("p");
+  spec.rho = 0.0;  // the paper's recommended CMFSD setting
+  spec.validate();
+  const model::Backend& backend = model::require_backend("fluid-equilibrium");
+  const auto evaluate = [&](fluid::SchemeKind scheme) {
+    spec.scheme = scheme;
+    return backend.evaluate_or_throw(spec);
+  };
 
   util::Table table({"scheme", "avg online time/file", "avg download/file",
                      "vs MTSD"});
   table.set_precision(4);
 
-  core::EvaluateOptions generous;
-  generous.rho = 0.0;  // the paper's recommended CMFSD setting
   const double mtsd_baseline =
-      core::evaluate_scheme(scenario, fluid::SchemeKind::kMtsd)
-          .avg_online_per_file;
+      evaluate(fluid::SchemeKind::kMtsd).avg_online_per_file;
 
   for (const fluid::SchemeKind scheme :
        {fluid::SchemeKind::kMtcd, fluid::SchemeKind::kMtsd,
         fluid::SchemeKind::kMfcd, fluid::SchemeKind::kCmfsd}) {
-    const core::SchemeReport report =
-        core::evaluate_scheme(scenario, scheme, generous);
+    const model::Outcome outcome = evaluate(scheme);
     table.add_row({std::string(fluid::to_string(scheme)),
-                   report.avg_online_per_file, report.avg_download_per_file,
-                   report.avg_online_per_file / mtsd_baseline});
+                   outcome.avg_online_per_file, outcome.avg_download_per_file,
+                   outcome.avg_online_per_file / mtsd_baseline});
   }
 
-  std::cout << "Scenario: K = " << scenario.num_files
+  std::cout << "Scenario: K = " << spec.num_files
             << " interest-correlated files, correlation p = "
-            << scenario.correlation << "\n(CMFSD uses rho = 0, the paper's "
+            << spec.correlation << "\n(CMFSD uses rho = 0, the paper's "
             << "recommended collaborative setting)\n\n";
   table.write_pretty(std::cout);
   std::cout << "\nReading: under MTCD/MFCD a class-i user splits bandwidth "
@@ -85,8 +87,8 @@ int main(int argc, char** argv) try {
     std::optional<obs::TraceWriter> trace;
     sim::SimConfig config;
     config.scheme = fluid::SchemeKind::kCmfsd;
-    config.num_files = scenario.num_files;
-    config.correlation = scenario.correlation;
+    config.num_files = spec.num_files;
+    config.correlation = spec.correlation;
     config.horizon = 1000.0;
     config.warmup = 250.0;
     config.obs.metrics = &metrics;

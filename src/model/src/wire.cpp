@@ -1,7 +1,11 @@
 #include "btmf/model/wire.h"
 
+#include <charconv>
 #include <cstddef>
+#include <cstdint>
+#include <limits>
 #include <map>
+#include <system_error>
 #include <vector>
 
 #include "btmf/util/error.h"
@@ -26,9 +30,22 @@ bool to_bool(std::string_view s, std::string_view what) {
             "'");
 }
 
-long long to_count(std::string_view s, std::string_view what,
-                   long long min_value) {
-  const long long v = util::parse_int(s, what);
+/// Parses a decimal count straight into its field's type, so a sign, a
+/// value the type cannot hold (k=4294967297, seed=2^64) or trailing junk
+/// is refused instead of wrapped.
+template <typename T>
+T to_count(std::string_view s, std::string_view what, T min_value) {
+  T v{};
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
+  if (ec == std::errc::result_out_of_range) {
+    malformed(std::string(what) + " '" + std::string(s) +
+              "' is out of range (max " +
+              std::to_string(std::numeric_limits<T>::max()) + ")");
+  }
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    malformed(std::string(what) + " must be a non-negative integer, got '" +
+              std::string(s) + "'");
+  }
   if (v < min_value) {
     malformed(std::string(what) + " must be >= " + std::to_string(min_value));
   }
@@ -138,8 +155,7 @@ ScenarioSpec decode_spec(std::string_view wire) {
   };
 
   ScenarioSpec spec;
-  spec.num_files =
-      static_cast<unsigned>(to_count(take("k"), "k", 1));
+  spec.num_files = to_count(take("k"), "k", 1U);
   spec.correlation = to_double(take("p"), "p");
   spec.visit_rate = to_double(take("lambda0"), "lambda0");
   spec.fluid.mu = to_double(take("mu"), "mu");
@@ -155,7 +171,7 @@ ScenarioSpec decode_spec(std::string_view wire) {
     spec.solver.chunk_time = to_double(f[1], "solver chunk_time");
     spec.solver.chunk_growth = to_double(f[2], "solver chunk_growth");
     spec.solver.max_chunks =
-        static_cast<std::size_t>(to_count(f[3], "solver max_chunks", 1));
+        to_count<std::size_t>(f[3], "solver max_chunks", 1);
     spec.solver.polish_with_newton = to_bool(f[4], "solver polish");
     spec.solver.clamp_nonnegative = to_bool(f[5], "solver clamp");
   }
@@ -166,15 +182,13 @@ ScenarioSpec decode_spec(std::string_view wire) {
     spec.solver.ode.initial_dt = to_double(f[2], "ode initial_dt");
     spec.solver.ode.max_dt = to_double(f[3], "ode max_dt");
     spec.solver.ode.max_steps =
-        static_cast<std::size_t>(to_count(f[4], "ode max_steps", 1));
+        to_count<std::size_t>(f[4], "ode max_steps", 1);
     spec.solver.ode.clamp_nonnegative = to_bool(f[5], "ode clamp");
   }
-  spec.transient_samples =
-      static_cast<std::size_t>(to_count(take("samples"), "samples", 2));
+  spec.transient_samples = to_count<std::size_t>(take("samples"), "samples", 2);
   spec.horizon = to_double(take("horizon"), "horizon");
   spec.warmup = to_double(take("warmup"), "warmup");
-  spec.seed =
-      static_cast<std::uint64_t>(to_count(take("seed"), "seed", 0));
+  spec.seed = to_count<std::uint64_t>(take("seed"), "seed", 0);
   spec.cheater_fraction = to_double(take("cheaters"), "cheaters");
   spec.abort_rate = to_double(take("theta"), "theta");
   {
@@ -186,12 +200,10 @@ ScenarioSpec decode_spec(std::string_view wire) {
     spec.adapt.phi_hi = to_double(f[4], "adapt phi_hi");
     spec.adapt.step_up = to_double(f[5], "adapt step_up");
     spec.adapt.step_down = to_double(f[6], "adapt step_down");
-    spec.adapt.consecutive =
-        static_cast<unsigned>(to_count(f[7], "adapt consecutive", 0));
+    spec.adapt.consecutive = to_count(f[7], "adapt consecutive", 0U);
   }
   spec.faults = parse_faults(take("faults"));
-  spec.num_chunks =
-      static_cast<unsigned>(to_count(take("chunks"), "chunks", 1));
+  spec.num_chunks = to_count(take("chunks"), "chunks", 1U);
   spec.chunk_policy = sim::piece_policy_from_string(take("piece"));
   spec.chunk_suppression = to_double(take("suppress"), "suppress");
 
@@ -220,8 +232,7 @@ ScenarioSpec decode_spec(std::string_view wire) {
     }
   }
   if (take_optional("ereps", &demand)) {
-    spec.epidemic_replications =
-        static_cast<unsigned>(to_count(demand, "ereps", 1));
+    spec.epidemic_replications = to_count(demand, "ereps", 1U);
     if (spec.epidemic_replications == 8) {
       malformed("ereps key present at its default (non-canonical wire)");
     }

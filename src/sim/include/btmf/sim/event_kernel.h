@@ -559,6 +559,12 @@ class EventKernel {
   SimConfig cfg_;
   SchemePolicy& policy_;
   ShardSpec shard_;
+  /// Simultaneity window: events due within it of the current time are
+  /// dispatched together. Zero in a decomposed shard, whose events each
+  /// fire at their own time; a window there would let an event of one
+  /// torrent pull in another torrent's event only when both share a
+  /// shard, so results would depend on the shard count.
+  double window_;
   RandomStream rng_;
   StatsCollector stats_;
 

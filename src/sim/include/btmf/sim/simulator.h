@@ -15,8 +15,8 @@ class ThreadPool;
 
 namespace btmf::sim {
 
-/// Runs one replication of `config`, dispatching to the multi-torrent or
-/// CMFSD engine by `config.scheme`.
+/// Runs one replication of `config` under the scheme policy named by
+/// `config.scheme` (MFCD without joint completion runs as MTCD).
 SimResult run_simulation(const SimConfig& config);
 
 /// One replication that died with an exception instead of producing a

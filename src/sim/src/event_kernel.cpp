@@ -11,8 +11,9 @@ namespace btmf::sim {
 
 namespace {
 constexpr double kInf = std::numeric_limits<double>::infinity();
-/// Events within this window of the current time are dispatched together,
-/// matching the pre-refactor engines' simultaneity rule.
+/// Events within this window of the current time are dispatched together
+/// by the serial kernel, matching the pre-refactor engines' simultaneity
+/// rule (see EventKernel::window_).
 constexpr double kTimeEps = 1e-12;
 
 const std::greater<> kMinHeap{};
@@ -23,6 +24,7 @@ EventKernel::EventKernel(const SimConfig& config, SchemePolicy& policy,
     : cfg_(config),
       policy_(policy),
       shard_(shard),
+      window_(shard.decomposed ? 0.0 : kTimeEps),
       rng_(config.seed),
       stats_(config.num_files),
       down_pop_(config.num_files, 0.0),
@@ -375,7 +377,7 @@ double EventKernel::peek_abort() {
 }
 
 void EventKernel::drain_completions(double t) {
-  while (!candidates_.empty() && candidates_.top_key() <= t + kTimeEps) {
+  while (!candidates_.empty() && candidates_.top_key() <= t + window_) {
     const std::size_t gid = candidates_.top_id();
     ServiceGroup& g = groups_[gid];
     sync_group(g, t);
@@ -395,7 +397,7 @@ void EventKernel::drain_completions(double t) {
 }
 
 void EventKernel::drain_aborts(double t) {
-  while (peek_abort() <= t + kTimeEps) {
+  while (peek_abort() <= t + window_) {
     const AbortEntry e = abort_queue_.front();
     std::pop_heap(abort_queue_.begin(), abort_queue_.end(), kMinHeap);
     abort_queue_.pop_back();
@@ -489,7 +491,7 @@ void EventKernel::apply_churn(const ChurnBurstFault& f, double t) {
 
 void EventKernel::drain_readmissions(double t) {
   while (!readmissions_.empty() &&
-         readmissions_.front().time <= t + kTimeEps) {
+         readmissions_.front().time <= t + window_) {
     std::pop_heap(readmissions_.begin(), readmissions_.end(), kMinHeap);
     Readmission r = std::move(readmissions_.back());
     readmissions_.pop_back();
@@ -509,7 +511,7 @@ void EventKernel::drain_readmissions(double t) {
 void EventKernel::process_fault_edges(double t) {
   using Kind = FaultEdge::Kind;
   while (fault_cursor_ < fault_timeline_.size() &&
-         fault_timeline_[fault_cursor_].time <= t + kTimeEps) {
+         fault_timeline_[fault_cursor_].time <= t + window_) {
     const FaultEdge e = fault_timeline_[fault_cursor_++];
     const std::size_t pre_fault_peers = active_peer_count_;
     switch (e.kind) {
@@ -874,12 +876,12 @@ void EventKernel::run_until(double t_end) {
     }
     now_ = t;
     process_fault_edges(t);
-    if (t + kTimeEps >= next_arrival_) {
+    if (t + window_ >= next_arrival_) {
       process_arrival(t);
       next_arrival_ = next_arrival_after(t);
     }
     drain_readmissions(t);
-    while (!seed_queue_.empty() && seed_queue_.front().time <= t + kTimeEps) {
+    while (!seed_queue_.empty() && seed_queue_.front().time <= t + window_) {
       const SeedDeparture ev = seed_queue_.front();
       std::pop_heap(seed_queue_.begin(), seed_queue_.end(), kMinHeap);
       seed_queue_.pop_back();
@@ -893,7 +895,7 @@ void EventKernel::run_until(double t_end) {
         }
       }
     }
-    if (t + kTimeEps >= policy_time) policy_.on_policy_event(t);
+    if (t + window_ >= policy_time) policy_.on_policy_event(t);
     drain_completions(t);
     drain_aborts(t);
     update_recovery_watch(t);

@@ -30,7 +30,7 @@
 #include <utility>
 #include <vector>
 
-#include "btmf/sim/policies.h"
+#include "policies.h"
 
 namespace btmf::sim {
 

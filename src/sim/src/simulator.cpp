@@ -8,10 +8,10 @@
 #include "btmf/math/stats.h"
 #include "btmf/parallel/parallel_for.h"
 #include "btmf/parallel/seeds.h"
-#include "btmf/sim/cmfsd_sim.h"
-#include "btmf/sim/multi_torrent_sim.h"
+#include "btmf/sim/sharded_kernel.h"
 #include "btmf/util/check.h"
 #include "btmf/util/error.h"
+#include "policies.h"
 
 namespace btmf::sim {
 
@@ -68,10 +68,29 @@ void SimConfig::validate() const {
 }
 
 SimResult run_simulation(const SimConfig& config) {
-  if (config.scheme == fluid::SchemeKind::kCmfsd) {
-    return run_cmfsd_sim(config);
+  // ShardedKernel probes the policy: MTCD decomposes per torrent and runs
+  // sharded (cfg.shards / cfg.kernel_threads apply); MTSD, MFCD and CMFSD
+  // couple a user's torrents and run the serial kernel, ignoring the knobs.
+  PolicyFactory factory;
+  switch (config.scheme) {
+    case fluid::SchemeKind::kMtsd:
+      factory = make_mtsd_policy;
+      break;
+    case fluid::SchemeKind::kMfcd:
+      // Without joint completion MFCD degenerates to MTCD semantics:
+      // independent per-file completions and departures.
+      factory = config.mfcd_joint_completion ? make_mfcd_policy
+                                             : make_mtcd_policy;
+      break;
+    case fluid::SchemeKind::kCmfsd:
+      factory = make_cmfsd_policy;
+      break;
+    default:
+      factory = make_mtcd_policy;
+      break;
   }
-  return run_multi_torrent_sim(config);
+  ShardedKernel kernel(config, std::move(factory));
+  return kernel.run();
 }
 
 ReplicationSummary run_replications(const SimConfig& config,

@@ -9,7 +9,8 @@
 #include <map>
 #include <sstream>
 
-#include "btmf/core/experiments.h"
+#include "btmf/fluid/mfcd.h"
+#include "btmf/fluid/single_torrent.h"
 #include "btmf/model/backend.h"
 #include "btmf/sim/stats.h"
 #include "btmf/util/error.h"
@@ -61,16 +62,6 @@ SweepOptions engine_options(const ReproduceOptions& options) {
   return out;
 }
 
-/// The scenario part of a figure's spec (scheme/rho/seed vary per point).
-model::ScenarioSpec spec_of(const core::ScenarioConfig& base) {
-  model::ScenarioSpec spec;
-  spec.num_files = base.num_files;
-  spec.correlation = base.correlation;
-  spec.visit_rate = base.visit_rate;
-  spec.fluid = base.fluid;
-  return spec;
-}
-
 /// Every figure keys its disk cache on (backend name, canonical spec
 /// fingerprint) — the one fingerprint scheme of the whole repository
 /// (see docs/SWEEP.md). Grid-axis values are hashed separately per point.
@@ -79,8 +70,12 @@ std::string cache_key(std::string_view backend,
   return "backend=" + std::string(backend) + "|" + spec.fingerprint();
 }
 
-const model::Backend& fluid_backend() {
-  return model::require_backend("fluid-equilibrium");
+/// Fluid steady state of `scheme` on `base` at correlation p.
+model::Outcome fluid_outcome(model::ScenarioSpec base,
+                             fluid::SchemeKind scheme, double p) {
+  base.scheme = scheme;
+  base.correlation = p;
+  return model::require_backend("fluid-equilibrium").evaluate_or_throw(base);
 }
 
 /// The "did every point solve" claim every figure leads with; when it
@@ -121,16 +116,18 @@ void mark_skipped(FigureReport& report,
 // Fig. 2 — system-average online time per file vs correlation p.
 
 SweepSpec fig2_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig2";
   spec.grid.axis("p", linspace(0.0, 1.0, 21));
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    const core::Fig2Point sample = core::fig2_point(base, point.at("p"));
+    const double p = point.at("p");
     PointResult result;
-    result.values["mtcd_online_per_file"] = sample.mtcd_online_per_file;
-    result.values["mtsd_online_per_file"] = sample.mtsd_online_per_file;
+    result.values["mtcd_online_per_file"] =
+        fluid_outcome(base, fluid::SchemeKind::kMtcd, p).avg_online_per_file;
+    result.values["mtsd_online_per_file"] =
+        fluid_outcome(base, fluid::SchemeKind::kMtsd, p).avg_online_per_file;
     return result;
   };
   return spec;
@@ -203,20 +200,33 @@ FigureReport run_fig2(const ReproduceOptions& options) {
 // Fig. 3 — per-class online/download times under MTCD and MTSD.
 
 SweepSpec fig3_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig3";
   spec.grid.axis("p", {0.1, 1.0});
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    const core::Fig3Point sample = core::fig3_point(base, point.at("p"));
+    const double p = point.at("p");
     PointResult result;
-    result.values["mtcd_factor_a"] = sample.mtcd_factor_a;
+    // The paper plots the closed-form MTCD curves T_i/i = A + 1/(i gamma)
+    // and D_i/i = A over ALL classes, including classes whose population
+    // vanishes at the given p (everything but class K at p = 1), so the
+    // figure stores the per-file factor A rather than the
+    // population-conditional per-class metrics.
+    model::ScenarioSpec at_p = base;
+    at_p.correlation = p;
+    result.values["mtcd_factor_a"] =
+        p == 0.0 ? fluid::single_torrent_download_time(base.fluid)
+                 : fluid::mfcd_download_time_per_file(
+                       base.fluid, at_p.correlation_model());
+    const model::Outcome mtsd =
+        fluid_outcome(base, fluid::SchemeKind::kMtsd, p);
     for (unsigned i = 1; i <= base.num_files; ++i) {
       const std::string suffix = ".c" + std::to_string(i);
       result.values["mtsd_online" + suffix] =
-          sample.mtsd_online_per_file[i - 1];
-      result.values["mtsd_dl" + suffix] = sample.mtsd_download_per_file[i - 1];
+          mtsd.per_class.online_per_file[i - 1];
+      result.values["mtsd_dl" + suffix] =
+          mtsd.per_class.download_per_file[i - 1];
     }
     return result;
   };
@@ -224,7 +234,7 @@ SweepSpec fig3_spec() {
 }
 
 FigureReport run_fig3(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig3";
   report.title = "Per-class times: MTCD's light users pay, heavy users gain";
@@ -319,20 +329,19 @@ FigureReport run_fig3(const ReproduceOptions& options) {
 // Fig. 4(a) — CMFSD average online time over the (p, rho) grid.
 
 SweepSpec fig4a_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig4a";
   // CMFSD is undefined at p = 0 (nobody requests any file), so the grid
   // starts at 0.1 exactly as the paper's sweep does.
   spec.grid.axis("p", linspace(0.1, 1.0, 10))
       .axis("rho", linspace(0.0, 1.0, 11));
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    model::ScenarioSpec scenario = spec_of(base);
-    scenario.scheme = fluid::SchemeKind::kCmfsd;
-    scenario.correlation = point.at("p");
+    model::ScenarioSpec scenario = base;
     scenario.rho = point.at("rho");
-    const model::Outcome outcome = fluid_backend().evaluate_or_throw(scenario);
+    const model::Outcome outcome =
+        fluid_outcome(scenario, fluid::SchemeKind::kCmfsd, point.at("p"));
     PointResult result;
     result.values["online"] = outcome.avg_online_per_file;
     result.values["dl"] = outcome.avg_download_per_file;
@@ -342,7 +351,7 @@ SweepSpec fig4a_spec() {
 }
 
 FigureReport run_fig4a(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   FigureReport report;
   report.name = "fig4a";
   report.title = "CMFSD: rho = 0 is optimal at every correlation";
@@ -402,11 +411,9 @@ FigureReport run_fig4a(const ReproduceOptions& options) {
     table.add_row(std::move(row));
     if (argmin != 0) ++argmin_not_zero;
 
-    model::ScenarioSpec scenario = spec_of(base);
-    scenario.scheme = fluid::SchemeKind::kMfcd;
-    scenario.correlation = p_values[pi];
     const double mfcd_online =
-        fluid_backend().evaluate_or_throw(scenario).avg_online_per_file;
+        fluid_outcome(base, fluid::SchemeKind::kMfcd, p_values[pi])
+            .avg_online_per_file;
     max_mfcd_gap = std::max(
         max_mfcd_gap, std::abs(online_at(pi, nr - 1) - mfcd_online));
 
@@ -453,17 +460,16 @@ FigureReport run_fig4a(const ReproduceOptions& options) {
 // Fig. 4(b)/(c) — CMFSD per-class times vs MFCD at p = 0.9 and p = 0.1.
 
 SweepSpec fig4bc_spec() {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   SweepSpec spec;
   spec.name = "fig4bc";
   spec.grid.axis("p", {0.9, 0.1}).axis("rho", {0.1, 0.9});
-  spec.fingerprint = cache_key("fluid-equilibrium", spec_of(base));
+  spec.fingerprint = cache_key("fluid-equilibrium", base);
   spec.compute = [base](const GridPoint& point) {
-    model::ScenarioSpec scenario = spec_of(base);
-    scenario.scheme = fluid::SchemeKind::kCmfsd;
-    scenario.correlation = point.at("p");
+    model::ScenarioSpec scenario = base;
     scenario.rho = point.at("rho");
-    const model::Outcome outcome = fluid_backend().evaluate_or_throw(scenario);
+    const model::Outcome outcome =
+        fluid_outcome(scenario, fluid::SchemeKind::kCmfsd, point.at("p"));
     PointResult result;
     for (unsigned i = 1; i <= base.num_files; ++i) {
       const std::string suffix = ".c" + std::to_string(i);
@@ -478,7 +484,7 @@ SweepSpec fig4bc_spec() {
 }
 
 FigureReport run_fig4bc(const ReproduceOptions& options) {
-  const core::ScenarioConfig base;
+  const model::ScenarioSpec base;
   const unsigned k = base.num_files;
   FigureReport report;
   report.name = "fig4bc";
@@ -514,10 +520,8 @@ FigureReport run_fig4bc(const ReproduceOptions& options) {
   double fig4c_dl_ck = 0.0;
   for (std::size_t pi = 0; pi < p_values.size(); ++pi) {
     const double p = p_values[pi];
-    model::ScenarioSpec scenario = spec_of(base);
-    scenario.scheme = fluid::SchemeKind::kMfcd;
-    scenario.correlation = p;
-    const model::Outcome mfcd = fluid_backend().evaluate_or_throw(scenario);
+    const model::Outcome mfcd =
+        fluid_outcome(base, fluid::SchemeKind::kMfcd, p);
 
     std::vector<std::string> headers{"class"};
     for (const double rho : rho_values) {
@@ -554,11 +558,8 @@ FigureReport run_fig4bc(const ReproduceOptions& options) {
   // (p = 0.9, rho = 0.1) is point 0 and (p = 0.1, rho = 0.1) is point 2.
   const PointResult& fig4b_cell = result_at(0, 0);
   const PointResult& fig4c_cell = result_at(1, 0);
-  model::ScenarioSpec fig4b_scenario = spec_of(base);
-  fig4b_scenario.scheme = fluid::SchemeKind::kMfcd;
-  fig4b_scenario.correlation = 0.9;
   const model::Outcome fig4b_mfcd =
-      fluid_backend().evaluate_or_throw(fig4b_scenario);
+      fluid_outcome(base, fluid::SchemeKind::kMfcd, 0.9);
   double fig4b_min_mfcd_online = kInf;
   for (unsigned i = 1; i <= k; ++i) {
     fig4b_max_online = std::max(

@@ -5,6 +5,7 @@
 // unknown arguments are rejected instead of silently ignored.
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <string>
@@ -32,6 +33,7 @@ class ArgParser {
   [[nodiscard]] std::string get(const std::string& name) const;
   [[nodiscard]] double get_double(const std::string& name) const;
   [[nodiscard]] long long get_int(const std::string& name) const;
+  [[nodiscard]] std::uint64_t get_uint64(const std::string& name) const;
   [[nodiscard]] bool get_flag(const std::string& name) const;
 
   /// Renders the --help text.

@@ -1,6 +1,7 @@
 // Small string utilities used by the CLI parser and table writers.
 #pragma once
 
+#include <cstdint>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -37,5 +38,9 @@ double parse_double(std::string_view s, std::string_view context);
 
 /// Parses a non-negative integer, throwing btmf::ConfigError on failure.
 long long parse_int(std::string_view s, std::string_view context);
+
+/// Parses an unsigned 64-bit integer (the full range of an RNG seed),
+/// throwing btmf::ConfigError on a sign, junk or a value above 2^64 - 1.
+std::uint64_t parse_uint64(std::string_view s, std::string_view context);
 
 }  // namespace btmf::util

@@ -79,6 +79,10 @@ long long ArgParser::get_int(const std::string& name) const {
   return parse_int(get(name), "--" + name);
 }
 
+std::uint64_t ArgParser::get_uint64(const std::string& name) const {
+  return parse_uint64(get(name), "--" + name);
+}
+
 bool ArgParser::get_flag(const std::string& name) const {
   const Option& opt = find_option(name);
   BTMF_CHECK_MSG(opt.is_flag, "--" + name + " is not a flag");

@@ -89,4 +89,16 @@ long long parse_int(std::string_view s, std::string_view context) {
   return value;
 }
 
+std::uint64_t parse_uint64(std::string_view s, std::string_view context) {
+  s = trim(s);
+  std::uint64_t value = 0;
+  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), value);
+  if (ec != std::errc{} || ptr != s.data() + s.size()) {
+    throw ConfigError("cannot parse '" + std::string(s) +
+                      "' as an unsigned 64-bit integer (" +
+                      std::string(context) + ")");
+  }
+  return value;
+}
+
 }  // namespace btmf::util

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <string>
 
 #include "btmf/fluid/demand.h"
@@ -165,6 +167,33 @@ TEST(ModelWireTest, RejectsOutOfRangeValues) {
   ASSERT_NE(at, std::string::npos);
   wire.replace(at, from.size(), "p=2.5");  // validate() must refuse
   EXPECT_THROW(decode_spec(wire), ConfigError);
+}
+
+/// The default spec's wire with the value of `key` replaced.
+std::string wire_with(const std::string& key, const std::string& value) {
+  std::string wire;
+  for (const std::string& token : util::split(encode_spec({}), ';')) {
+    if (!wire.empty()) wire += ';';
+    wire += token.starts_with(key + "=") ? key + "=" + value : token;
+  }
+  return wire;
+}
+
+TEST(ModelWireTest, FullWidthSeedsRoundTrip) {
+  for (const std::uint64_t seed : {(std::uint64_t{1} << 63) + 1,
+                                   std::numeric_limits<std::uint64_t>::max()}) {
+    ScenarioSpec spec;
+    spec.seed = seed;
+    EXPECT_EQ(decode_spec(encode_spec(spec)).seed, seed);
+  }
+}
+
+TEST(ModelWireTest, RejectsCountsTheirFieldCannotHold) {
+  EXPECT_THROW(decode_spec(wire_with("seed", "18446744073709551616")),
+               ConfigError);
+  EXPECT_THROW(decode_spec(wire_with("seed", "-1")), ConfigError);
+  EXPECT_THROW(decode_spec(wire_with("k", "4294967297")), ConfigError);
+  EXPECT_EQ(decode_spec(wire_with("k", "4")).num_files, 4u);
 }
 
 }  // namespace

@@ -4,8 +4,6 @@
 #include <gtest/gtest.h>
 
 #include "btmf/fluid/extended.h"
-#include "btmf/sim/cmfsd_sim.h"
-#include "btmf/sim/multi_torrent_sim.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/error.h"
 

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include "btmf/parallel/seeds.h"
 #include "btmf/sim/faults.h"
 #include "btmf/sim/simulator.h"
 #include "btmf/util/error.h"
@@ -93,13 +94,30 @@ void expect_bit_identical(const SimResult& a, const SimResult& b,
 struct ScaleCase {
   fluid::SchemeKind scheme;
   bool with_faults;
+  /// A paper-sized run at a seed >= 2^63 (K = 10, lambda0 = 20) whose
+  /// headline once differed in the last bits between one shard and two.
+  bool wide_seed = false;
 };
+
+SimConfig case_config(const ScaleCase& param) {
+  if (!param.wide_seed) return scale_config(param.scheme, param.with_faults);
+  SimConfig c;
+  c.scheme = param.scheme;
+  c.num_files = 10;
+  c.correlation = 0.5;
+  c.rho = 0.2;
+  c.visit_rate = 20.0;
+  c.horizon = 2000.0;
+  c.warmup = 600.0;
+  c.seed = parallel::derive_seed(14, 4);  // 17985036696402223051
+  return c;
+}
 
 class ScaleDeterminismTest : public ::testing::TestWithParam<ScaleCase> {};
 
 TEST_P(ScaleDeterminismTest, BitIdenticalAcrossShardsAndThreads) {
   const ScaleCase& param = GetParam();
-  SimConfig reference_cfg = scale_config(param.scheme, param.with_faults);
+  SimConfig reference_cfg = case_config(param);
   reference_cfg.shards = 1;
   reference_cfg.kernel_threads = 1;
   const SimResult reference = run_simulation(reference_cfg);
@@ -113,7 +131,7 @@ TEST_P(ScaleDeterminismTest, BitIdenticalAcrossShardsAndThreads) {
                         : std::vector<unsigned>{2U, 7U};
   for (const unsigned shards : shard_counts) {
     for (const unsigned threads : {1U, 4U}) {
-      SimConfig c = scale_config(param.scheme, param.with_faults);
+      SimConfig c = case_config(param);
       c.shards = shards;
       c.kernel_threads = threads;
       expect_bit_identical(reference, run_simulation(c),
@@ -137,7 +155,8 @@ INSTANTIATE_TEST_SUITE_P(
                       ScaleCase{fluid::SchemeKind::kMfcd, false},
                       ScaleCase{fluid::SchemeKind::kMfcd, true},
                       ScaleCase{fluid::SchemeKind::kCmfsd, false},
-                      ScaleCase{fluid::SchemeKind::kCmfsd, true}),
+                      ScaleCase{fluid::SchemeKind::kCmfsd, true},
+                      ScaleCase{fluid::SchemeKind::kMtcd, false, true}),
     [](const auto& tpi) {
       std::string name;
       switch (tpi.param.scheme) {
@@ -147,7 +166,8 @@ INSTANTIATE_TEST_SUITE_P(
         case fluid::SchemeKind::kCmfsd: name = "Cmfsd"; break;
         default: name = "Unknown"; break;
       }
-      return name + (tpi.param.with_faults ? "Faulted" : "Clean");
+      return name + (tpi.param.with_faults ? "Faulted" : "Clean") +
+             (tpi.param.wide_seed ? "WideSeed" : "");
     });
 
 // The paranoid auditor must hold across the epoch barriers too: every
